@@ -68,6 +68,9 @@ func (c Config) Validate() error {
 	if c.CapacityBytes <= 0 {
 		return errors.New("dram: capacity must be positive")
 	}
+	if c.CapacityBytes%c.RowBytes != 0 {
+		return fmt.Errorf("dram: capacity %d is not a whole number of %d-byte rows", c.CapacityBytes, c.RowBytes)
+	}
 	return nil
 }
 
@@ -92,9 +95,10 @@ type Stats struct {
 }
 
 // Buffer is one DDR2 device with a FCFS controller front-end. Requests are
-// served one at a time; within a request the burst walk across banks/rows is
-// computed analytically at clock-cycle granularity, which preserves DDR2
-// command timing without one simulation event per column access.
+// served one at a time; within a request the timing is computed analytically
+// at clock-cycle granularity, one row run at a time (see serve), which
+// preserves DDR2 command timing without one simulation event, or one loop
+// step, per column access.
 type Buffer struct {
 	ID  int
 	cfg Config
@@ -218,21 +222,35 @@ func (b *Buffer) kick() {
 // serve computes the completion time of r starting at t, updating bank and
 // refresh state. The address maps row-interleaved across banks so that
 // sequential streams hit open rows.
+//
+// The walk is per burst in timing but per row run in host work. A burst
+// pays, in order: a refresh (tRFC, all banks precharged) if one is due when
+// it starts; precharge of another open row (tRP) and activate (tRCD) on a
+// row miss; CL on every read burst; its transfer clocks; and, for a write
+// whose burst reaches the end of a row, tWR once. Bursts never cross a row.
+// The first burst of a row run, and the burst that ends the row, go through
+// that step one at a time. The full row-hit bursts between them all cost
+// the same, so they are charged in one step, capped before the first one
+// that would start at or after the next refresh; that burst then takes the
+// per-burst step, so refreshes and row reopens land exactly where a
+// burst-by-burst walk would put them.
+//
+//ssdx:hotpath
 func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
 	c := b.cfg
 	period := b.clk.Period
-	cyc := func(n int) sim.Time { return sim.Time(n) * period }
-
 	burst := c.BurstBytes()
-	addr := r.addr
-	remaining := r.bytes
+	// hit is the cost of one full burst to an open row.
+	hit := sim.Time((c.BurstLen+1)/2) * period
+	if !r.write {
+		hit += sim.Time(c.CL) * period
+	}
+	addr, remaining := r.addr, r.bytes
 	for remaining > 0 {
-		// Refresh stall if due.
 		if t >= b.nextRefresh {
-			t += cyc(c.TRFC)
+			t += sim.Time(c.TRFC) * period
 			b.nextRefresh += c.TREFI
 			b.Stats.Refreshes++
-			// All banks are precharged by refresh.
 			for i := range b.openRow {
 				b.openRow[i] = -1
 			}
@@ -242,43 +260,45 @@ func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
 		row := rowIdx / int64(c.Banks)
 		if b.openRow[bank] != row {
 			if b.openRow[bank] != -1 {
-				t += cyc(c.TRP) // precharge the old row
+				t += sim.Time(c.TRP) * period
 			}
-			t += cyc(c.TRCD) // activate the new row
+			t += sim.Time(c.TRCD) * period
 			b.openRow[bank] = row
 			b.Stats.RowMisses++
 		} else {
 			b.Stats.RowHits++
 		}
-		// Column access: CAS latency for the first data beat of a read;
-		// writes pay write-recovery at the tail (approximated per burst
-		// only when the row will close, folded here as amortised cost 0 —
-		// the dominant term is the data transfer itself).
 		if !r.write {
-			t += cyc(c.CL)
+			t += sim.Time(c.CL) * period
 		}
-		n := burst
-		// Do not cross a row boundary within a burst walk.
 		rowRemain := c.RowBytes - addr%c.RowBytes
-		if n > rowRemain {
-			n = rowRemain
-		}
-		if n > remaining {
-			n = remaining
-		}
+		n := min(burst, rowRemain, remaining)
 		transfers := (n + int64(c.BusBytes) - 1) / int64(c.BusBytes)
-		clocks := (transfers + 1) / 2 // DDR: 2 transfers per clock
-		t += sim.Time(clocks) * period
-		if r.write {
-			// Write recovery before a subsequent activate on this bank is
-			// charged when the row is eventually closed; approximate by a
-			// single tWR at the end of the request's last burst in a row.
-			if n == rowRemain {
-				t += cyc(c.TWR)
-			}
-		}
-		addr = (addr + n) % c.CapacityBytes
+		t += sim.Time((transfers+1)/2) * period // DDR: 2 transfers per clock
 		remaining -= n
+		if n == rowRemain {
+			if r.write {
+				t += sim.Time(c.TWR) * period
+			}
+			// The row ends here. Capacity is a whole number of rows, so
+			// this is the only place an access can wrap.
+			addr = (addr + n) % c.CapacityBytes
+			continue
+		}
+		addr += n
+
+		// The row stays open: charge the full bursts that follow, short of
+		// the one that ends the row, as one run of row hits.
+		run := min((rowRemain-n-1)/burst, remaining/burst)
+		if due := b.nextRefresh - t; due <= 0 {
+			run = 0
+		} else if sim.Time(run-1)*hit >= due {
+			run = int64((due + hit - 1) / hit)
+		}
+		t += sim.Time(run) * hit
+		addr += run * burst
+		remaining -= run * burst
+		b.Stats.RowHits += uint64(run)
 	}
 	return t
 }

@@ -37,6 +37,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected error for negative timing")
 	}
+	bad = c
+	bad.CapacityBytes = c.CapacityBytes - c.RowBytes/2
+	if err := bad.Validate(); err == nil {
+		t.Fatal("expected error for a capacity that ends mid-row")
+	}
 }
 
 func TestPeakBandwidth(t *testing.T) {
@@ -264,5 +269,163 @@ func TestMixedTrafficProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// serveBurstWalk is the reference timing model: the same refresh, row and
+// column rules as serve, applied one burst at a time.
+func serveBurstWalk(b *Buffer, t sim.Time, r *req) sim.Time {
+	c := b.cfg
+	period := b.clk.Period
+	cyc := func(n int) sim.Time { return sim.Time(n) * period }
+
+	burst := c.BurstBytes()
+	addr := r.addr
+	remaining := r.bytes
+	for remaining > 0 {
+		if t >= b.nextRefresh {
+			t += cyc(c.TRFC)
+			b.nextRefresh += c.TREFI
+			b.Stats.Refreshes++
+			for i := range b.openRow {
+				b.openRow[i] = -1
+			}
+		}
+		rowIdx := addr / c.RowBytes
+		bank := int(rowIdx % int64(c.Banks))
+		row := rowIdx / int64(c.Banks)
+		if b.openRow[bank] != row {
+			if b.openRow[bank] != -1 {
+				t += cyc(c.TRP)
+			}
+			t += cyc(c.TRCD)
+			b.openRow[bank] = row
+			b.Stats.RowMisses++
+		} else {
+			b.Stats.RowHits++
+		}
+		if !r.write {
+			t += cyc(c.CL)
+		}
+		n := burst
+		rowRemain := c.RowBytes - addr%c.RowBytes
+		if n > rowRemain {
+			n = rowRemain
+		}
+		if n > remaining {
+			n = remaining
+		}
+		transfers := (n + int64(c.BusBytes) - 1) / int64(c.BusBytes)
+		t += sim.Time((transfers+1)/2) * period
+		if r.write && n == rowRemain {
+			t += cyc(c.TWR)
+		}
+		addr = (addr + n) % c.CapacityBytes
+		remaining -= n
+	}
+	return t
+}
+
+// FuzzServeMatchesBurstWalk checks that the row-run walk in serve lands on
+// exactly the end time, bank state, refresh schedule and statistics of the
+// burst-by-burst reference, across bus widths, burst lengths, partial
+// bursts, refreshes falling anywhere in a row run and accesses that wrap
+// the buffer's capacity. rel is the start time relative to the next due
+// refresh, in picoseconds; open seeds which banks start with a row open.
+func FuzzServeMatchesBurstWalk(f *testing.F) {
+	def := DDR2_800x16(64 << 20)
+	p := int64(sim.NewClock("ddr", def.ClockMHz).Period)
+	// On the default device a read's first burst to a closed row takes
+	// tRCD+CL+4 = 14 clocks and each row hit after it CL+4 = 9; a write's
+	// take 9 and 4. Burst i of a row run therefore starts 14p+(i-1)*9p
+	// (read) or 9p+(i-1)*4p (write) after the access does; a 2 KiB row is
+	// bursts 0..127.
+	for _, s := range []struct {
+		addr, bytes uint64
+		write       bool
+		rel         int64
+		bus, bl     uint8
+		rows        uint16
+		open        uint64
+	}{
+		{0, 4096, false, 0, 1, 1, 0, 0},                                   // refresh on the first burst
+		{0, 4096, false, -(14*p + 59*9*p), 1, 1, 0, 0},                    // refresh on burst 60
+		{0, 4096, false, -(14*p + 126*9*p), 1, 1, 0, 0},                   // refresh on the row's last burst
+		{0, 4096, true, -(9*p + 126*4*p), 1, 1, 0, 0},                     // write: refresh on the row's last burst
+		{0, 4096, true, -(9*p + 125*4*p), 1, 1, 0, 0},                     // write: refresh on burst 126
+		{0, 4096, false, -14 * p, 1, 1, 0, 0},                             // refresh on burst 1
+		{0, 31 * 16, false, -(14*p + 29*9*p), 1, 1, 0, 0},                 // refresh on burst 30, the last of an access ending mid-row
+		{2043, 4096 + 3, false, -10 * p, 1, 1, 0, 0},                      // partial first and last bursts
+		{5, 4096 + 3, true, -900 * p, 3, 0, 0, ^uint64(0)},                // x64 bus, BL4, rows left open
+		{uint64(32<<20) - 100, 4096, true, -3000 * p, 1, 1, 32 * 8, 0xf0}, // wraps capacity
+		{0, 2048 * 3, false, -5 * int64(def.TREFI), 0, 1, 16, 0},          // several refreshes owed
+	} {
+		f.Add(s.addr, s.bytes, s.write, s.rel, s.bus, s.bl, s.rows, s.open)
+	}
+	f.Fuzz(func(t *testing.T, addr, bytes uint64, write bool, rel int64, bus, bl uint8, rows uint16, open uint64) {
+		cfg := def
+		cfg.BusBytes = 1 << (bus % 4)
+		cfg.BurstLen = 4 << (bl % 2)
+		if rows != 0 {
+			cfg.CapacityBytes = int64(rows) * cfg.RowBytes
+		}
+		r := req{
+			write: write,
+			addr:  int64(addr % uint64(cfg.CapacityBytes)),
+			bytes: int64((bytes-1)%(4*uint64(cfg.RowBytes))) + 1,
+		}
+		rel %= 4 * int64(cfg.TREFI)
+
+		var bufs [2]*Buffer
+		for i := range bufs {
+			b, err := New(sim.NewKernel(), 0, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.nextRefresh = 10 * cfg.TREFI
+			b.Stats.RowHits, b.Stats.Refreshes = 7, 3 // counters accumulate
+			for bank := range b.openRow {
+				switch (open >> (2 * bank)) & 3 {
+				case 1:
+					b.openRow[bank] = 0
+				case 2:
+					b.openRow[bank] = r.addr / cfg.RowBytes / int64(cfg.Banks)
+				case 3:
+					b.openRow[bank] = int64((open >> bank) % 64)
+				}
+			}
+			bufs[i] = b
+		}
+		start := bufs[0].nextRefresh + sim.Time(rel)
+		got := bufs[0].serve(start, &r)
+		want := serveBurstWalk(bufs[1], start, &r)
+		a, b := bufs[0], bufs[1]
+		if got != want || a.Stats != b.Stats || a.nextRefresh != b.nextRefresh {
+			t.Fatalf("%+v at %v: row runs end %v with %+v, next refresh %v; burst walk ends %v with %+v, next refresh %v",
+				r, start, got, a.Stats, a.nextRefresh, want, b.Stats, b.nextRefresh)
+		}
+		for bank := range a.openRow {
+			if a.openRow[bank] != b.openRow[bank] {
+				t.Fatalf("%+v at %v: open rows %v, burst walk %v", r, start, a.openRow, b.openRow)
+			}
+		}
+	})
+}
+
+// BenchmarkBufferAccess measures one 4 KiB buffer access, alternating read
+// and write over sequential addresses, through the queue, serve and the
+// completion event. Steady state allocates nothing.
+func BenchmarkBufferAccess(b *testing.B) {
+	k := sim.NewKernel()
+	buf, err := New(k, 0, DDR2_800x16(64<<20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if err := buf.Access(i&1 == 0, int64(i)*4096, 4096, nil); err != nil {
+			b.Fatal(err)
+		}
+		k.RunAll()
 	}
 }

@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -76,34 +75,88 @@ type event struct {
 	index int // heap index; -1 once popped or cancelled
 }
 
-// eventHeap is a min-heap ordered by (at, seq).
+// eventHeap is a 4-ary min-heap ordered by (at, seq). Keys are unique, so
+// the pop order is fully determined by them. Each event tracks its index so
+// Cancel removes it in O(log n). A 4-ary heap is half as deep as a binary
+// one, and its four children sit next to each other in memory.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a fires before b.
+func before(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
+
+// push adds e.
+//
+//ssdx:hotpath
+func (h *eventHeap) push(e *event) {
 	*h = append(*h, e)
+	h.up(len(*h)-1, e)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
+
+// removeAt takes the event at index i out of the heap and returns it; the
+// caller recycles it, which marks it popped.
+//
+//ssdx:hotpath
+func (h *eventHeap) removeAt(i int) *event {
+	q := *h
+	n := len(q) - 1
+	e := q[i]
+	last := q[n]
+	q[n] = nil
+	*h = q[:n]
+	if i < n {
+		if i > 0 && before(last, q[(i-1)/4]) {
+			h.up(i, last)
+		} else {
+			h.down(i, last)
+		}
+	}
 	return e
+}
+
+// up places e, moving up from the hole at index i.
+//
+//ssdx:hotpath
+func (h eventHeap) up(i int, e *event) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !before(e, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = e
+	e.index = i
+}
+
+// down places e, moving down from the hole at index i.
+//
+//ssdx:hotpath
+func (h eventHeap) down(i int, e *event) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+4, n); j++ {
+			if before(h[j], h[m]) {
+				m = j
+			}
+		}
+		if !before(h[m], e) {
+			break
+		}
+		h[i] = h[m]
+		h[i].index = i
+		i = m
+	}
+	h[i] = e
+	e.index = i
 }
 
 // EventID identifies a scheduled event so it can be cancelled. The
@@ -192,7 +245,7 @@ func (k *Kernel) At(t Time, fn func()) EventID {
 	e := k.alloc()
 	e.at, e.seq, e.fn = t, k.seq, fn
 	k.seq++
-	heap.Push(&k.queue, e)
+	k.queue.push(e)
 	return EventID{ev: e, gen: e.gen}
 }
 
@@ -225,8 +278,7 @@ func (k *Kernel) Cancel(id EventID) bool {
 	if id.ev == nil || id.ev.gen != id.gen || id.ev.index < 0 {
 		return false
 	}
-	heap.Remove(&k.queue, id.ev.index)
-	k.recycle(id.ev)
+	k.recycle(k.queue.removeAt(id.ev.index))
 	return true
 }
 
@@ -262,7 +314,7 @@ func (k *Kernel) Run(until Time) Time {
 			k.flushEvents()
 			return k.now
 		}
-		heap.Pop(&k.queue)
+		k.queue.removeAt(0)
 		k.now = next.at
 		fn := next.fn
 		k.recycle(next)

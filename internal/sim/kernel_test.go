@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -392,6 +394,145 @@ func TestKernelCancelStaleIDIsInert(t *testing.T) {
 	k.RunAll()
 	if fired != 11 {
 		t.Fatalf("fired = %d, want 11", fired)
+	}
+}
+
+// TestKernelHeapMatchesSortedReference drives random At, Schedule, Cancel
+// and Run(until) sequences, with callbacks that schedule more events, and
+// checks every fired order, clock reading and Cancel result against a
+// reference that keeps the pending events sorted by (at, seq). Times are
+// drawn from a narrow range so many events share a timestamp and must fire
+// in scheduling order. Cancels hit the heap's root, its last slot, interior
+// slots, and events that already fired or were already cancelled.
+func TestKernelHeapMatchesSortedReference(t *testing.T) {
+	type pending struct {
+		at  Time
+		seq uint64
+		id  int
+	}
+	var rootCancels, lastCancels, innerCancels, staleCancels int
+	for seed := uint64(1); seed <= 300; seed++ {
+		rng := NewRNG(seed)
+		k := NewKernel()
+
+		// Kernel side. Every fifth event schedules a child when it fires.
+		var ids []EventID
+		var fired []int
+		var callback func(id int) func()
+		callback = func(id int) func() {
+			return func() {
+				fired = append(fired, id)
+				if id%5 == 0 {
+					ids = append(ids, k.Schedule(Time(id%7), callback(len(ids))))
+				}
+			}
+		}
+
+		// Reference side.
+		var ref []pending
+		var refFired []int
+		var refNow Time
+		var refSeq uint64
+		refAdd := func(at Time) {
+			at = max(at, refNow)
+			p := pending{at, refSeq, int(refSeq)}
+			refSeq++
+			i := sort.Search(len(ref), func(i int) bool {
+				return ref[i].at > at || (ref[i].at == at && ref[i].seq > p.seq)
+			})
+			ref = append(ref, pending{})
+			copy(ref[i+1:], ref[i:])
+			ref[i] = p
+		}
+		refCancel := func(id int) bool {
+			for i, p := range ref {
+				if p.id == id {
+					ref = append(ref[:i], ref[i+1:]...)
+					return true
+				}
+			}
+			return false
+		}
+		refRun := func(until Time) {
+			for len(ref) > 0 {
+				p := ref[0]
+				if p.at > until {
+					refNow = until
+					return
+				}
+				ref = ref[1:]
+				refNow = p.at
+				refFired = append(refFired, p.id)
+				if p.id%5 == 0 {
+					refAdd(refNow + Time(p.id%7))
+				}
+			}
+		}
+		cancel := func(id int) {
+			got, want := k.Cancel(ids[id]), refCancel(id)
+			if got != want {
+				t.Fatalf("seed %d: Cancel(%d) = %v, reference %v", seed, id, got, want)
+			}
+			if !got {
+				staleCancels++
+			}
+		}
+
+		for step := 0; step < 200; step++ {
+			now := k.Now()
+			switch op := rng.Intn(10); {
+			case op < 4:
+				at := now + Time(rng.Intn(24)) - 4 // some in the past: clamped to now
+				ids = append(ids, k.At(at, callback(len(ids))))
+				refAdd(at)
+			case op < 5:
+				delay := Time(rng.Intn(24)) - 4 // negative delays clamp to zero
+				ids = append(ids, k.Schedule(delay, callback(len(ids))))
+				refAdd(now + max(delay, 0))
+			case op < 7 && len(ids) > 0:
+				cancel(rng.Intn(len(ids)))
+			case op < 8 && k.Pending() > 0:
+				// Cancel by heap slot: the root, the last slot or an interior one.
+				slot := [3]int{0, k.Pending() - 1, rng.Intn(k.Pending())}[rng.Intn(3)]
+				switch {
+				case slot == 0:
+					rootCancels++
+				case slot == k.Pending()-1:
+					lastCancels++
+				default:
+					innerCancels++
+				}
+				ev := k.queue[slot]
+				for id, eid := range ids {
+					if eid.ev == ev && eid.gen == ev.gen {
+						cancel(id)
+						break
+					}
+				}
+			default:
+				until := now + Time(rng.Intn(32))
+				k.Run(until)
+				refRun(until)
+			}
+			for i, e := range k.queue {
+				if e.index != i || (i > 0 && before(e, k.queue[(i-1)/4])) {
+					t.Fatalf("seed %d step %d: heap invariant broken at slot %d", seed, step, i)
+				}
+			}
+			if k.Now() != refNow || k.Pending() != len(ref) || !slices.Equal(fired, refFired) {
+				t.Fatalf("seed %d step %d: now %v pending %d fired %v; reference now %v pending %d fired %v",
+					seed, step, k.Now(), k.Pending(), fired, refNow, len(ref), refFired)
+			}
+		}
+		k.RunAll()
+		refRun(MaxTime)
+		if !slices.Equal(fired, refFired) {
+			t.Fatalf("seed %d: drained order %v, reference %v", seed, fired, refFired)
+		}
+	}
+	if rootCancels == 0 || lastCancels == 0 || innerCancels == 0 || staleCancels == 0 {
+		t.Fatalf("cancel coverage: root %d last %d interior %d stale %d",
+			rootCancels, lastCancels, innerCancels, staleCancels)
 	}
 }
 

@@ -2,7 +2,14 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -10,6 +17,14 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the sharded-core golden file")
+
+// parallelGolden pins the sharded core's outcome per determinism case: the
+// SHA-256 of the scrubbed Result JSON and of the Perfetto export at
+// workers=1. The parallel drivers must match workers=1 exactly, so this one
+// file pins every worker count.
+const parallelGolden = "testdata/parallel_results.golden"
 
 // scrubWall zeroes the wall-clock-dependent result fields so serial- and
 // parallel-driver runs compare on simulated outcome alone.
@@ -46,10 +61,59 @@ func runDomains(t *testing.T, cfg config.Platform, w workload.Spec, mode Mode, w
 	return res, buf.Bytes()
 }
 
+// readGolden parses the sharded-core golden into case name -> hash line.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(parallelGolden)
+	if err != nil && !(*updateGolden && os.IsNotExist(err)) {
+		t.Fatalf("missing golden file (run `go test -run TestParallelDeterminism -update`): %v", err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			out[name] = line
+		}
+	}
+	return out
+}
+
+// writeGolden rewrites the golden file in case order.
+func writeGolden(t *testing.T, names []string, lines map[string]string) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("# Sharded core, workers=1: SHA-256 of the scrubbed Result JSON and of the Perfetto export.\n")
+	b.WriteString("# Regenerate with `go test ./internal/core -run TestParallelDeterminism -update`.\n")
+	for _, n := range names {
+		if l, ok := lines[n]; ok {
+			b.WriteString(l + "\n")
+		}
+	}
+	if err := os.MkdirAll(filepath.Dir(parallelGolden), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(parallelGolden, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goldenLine renders one case's hashes. The replay case's trace lives in a
+// temp dir, so its path is replaced before hashing.
+func goldenLine(t *testing.T, name string, res Result, perfetto []byte, tracePath string) string {
+	t.Helper()
+	js, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js = bytes.ReplaceAll(js, []byte(tracePath), []byte("trace"))
+	return fmt.Sprintf("%s result=%x perfetto=%x", name, sha256.Sum256(js), sha256.Sum256(perfetto))
+}
+
 // TestParallelDeterminism pins the sharded core's central guarantee: for a
 // fixed seed, the serial domain driver (workers=1) and the parallel driver
 // produce identical results — the full Result struct and the byte-exact
 // Perfetto event trace — across topologies, FTL modes and access patterns.
+// The workers=1 outcome is itself pinned by parallelGolden, so a change to
+// the sharded model shows up even when every worker count agrees.
 func TestParallelDeterminism(t *testing.T) {
 	mapperCfg := func(name string) config.Platform {
 		cfg, err := config.Preset(name)
@@ -96,14 +160,29 @@ func TestParallelDeterminism(t *testing.T) {
 			workload.Patterned(trace.RandWrite, 4096, 1<<22, 400, 19), ModeFull},
 		{"drain-write-c4", preset("t3:C4"),
 			workload.Patterned(trace.SeqWrite, 4096, 1<<24, 256, 23), ModeDDRFlash},
+		{"drain-read-c4", preset("t3:C4"),
+			workload.Patterned(trace.SeqRead, 4096, 1<<24, 256, 37), ModeDDRFlash},
+		{"mixed-mapper-c3", mapperCfg("t3:C3"),
+			workload.Spec{Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 22,
+				Requests: 400, Seed: 41, WriteFrac: 0.5}, ModeFull},
 		{"replay-mixed-c4", preset("t3:C4"),
 			workload.Spec{TracePath: replayPath}, ModeFull},
 	}
+	golden := readGolden(t)
+	var names []string
 	for _, tc := range cases {
+		names = append(names, tc.name)
 		t.Run(tc.name, func(t *testing.T) {
 			ref, refTrace := runDomains(t, tc.cfg, tc.w, tc.mode, 1)
 			if ref.Completed == 0 {
 				t.Fatal("reference run completed nothing")
+			}
+			line := goldenLine(t, tc.name, ref, refTrace, replayPath)
+			if *updateGolden {
+				golden[tc.name] = line
+			} else if golden[tc.name] != line {
+				t.Errorf("workers=1 outcome drifted from %s:\ngot:  %s\nwant: %s\n(re-run with -update only if the change is intended)",
+					parallelGolden, line, golden[tc.name])
 			}
 			for _, workers := range []int{2, 4} {
 				got, gotTrace := runDomains(t, tc.cfg, tc.w, tc.mode, workers)
@@ -117,6 +196,9 @@ func TestParallelDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+	if *updateGolden {
+		writeGolden(t, names, golden)
 	}
 }
 

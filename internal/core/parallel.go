@@ -17,16 +17,18 @@ import (
 // the hub ECC pool) plus one domain per ONFI channel (its dies, buses, SRAM
 // cache gate, a private PP-DMA interconnect, DRAM buffer and ECC pool).
 // Cross-domain interactions become timestamped messages carrying the
-// configured hand-off latency, which doubles as the conservative lookahead
-// the domain coordinator synchronizes on. Serial mode (Parallel off) keeps
+// modeled hand-off latency, which doubles as the conservative lookahead the
+// domain coordinator synchronizes on. Serial mode (Parallel off) keeps
 // the exact monolithic kernel path: every helper here degrades to a direct
 // call or is simply never reached.
 
-// defaultLookaheadNS is the cross-domain hand-off latency when the
-// configuration leaves ParallelLookaheadNS at zero. 1us is comfortably below
-// NAND array times (hundreds of us) so it does not distort channel behaviour,
-// yet wide enough to give windows real batches of events.
-const defaultLookaheadNS = 1000
+// handoff is the modeled hub↔channel hand-off latency, which doubles as the
+// conservative lookahead the domain coordinator synchronizes on. It is part
+// of the sharded model, not a tuning knob: a wider window would move
+// simulated time. 1us is comfortably below NAND array times (tens to
+// hundreds of us) so it does not distort channel behaviour, yet wide enough
+// to give windows real batches of events.
+const handoff = sim.Microsecond
 
 // eccPool is a round-robin ECC engine pool bound to one kernel. The hub and
 // every shard own one so encode/decode latency is charged on the domain where
@@ -106,7 +108,7 @@ func (p *Platform) buildDomains(gang ctrl.GangMode) error {
 		// monotonic watermark per stage, so the barrier's deterministic merge
 		// order makes the application order well-defined.
 		ch.SetSpanSink(func(sp *telemetry.Span, st telemetry.Stage, at sim.Time) {
-			shard.Post(hub, p.handoff, func() { sp.Advance(st, at) })
+			shard.Post(hub, handoff, func() { sp.Advance(st, at) })
 		})
 		p.Channels = append(p.Channels, ch)
 	}
@@ -130,7 +132,7 @@ func (p *Platform) cross(from, to int, fn func()) {
 		fn()
 		return
 	}
-	p.domainOf(from).Post(p.domainOf(to), p.handoff, fn)
+	p.domainOf(from).Post(p.domainOf(to), handoff, fn)
 }
 
 // crossFn wraps fn so that invoking the wrapper on domain `from` delivers fn

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/sim"
 	evtrace "repro/internal/telemetry/trace"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -224,25 +225,38 @@ func TestParallelModeRuns(t *testing.T) {
 	}
 }
 
-// TestParallelLookaheadConfig checks the config plumbing: an explicit
-// lookahead reaches the domain set, and zero resolves to the default.
+// TestParallelLookaheadConfig checks that the sharded core's window width is
+// the modeled hand-off constant: a hub-to-channel post at exactly handoff is
+// accepted, one a picosecond shorter breaks conservative lookahead. The
+// retired parallel_lookahead_ns key is an unknown key to Parse.
 func TestParallelLookaheadConfig(t *testing.T) {
+	if handoff != sim.Microsecond {
+		t.Fatalf("handoff = %v, want 1us", handoff)
+	}
 	cfg := config.Default()
 	cfg.Parallel = true
-	cfg.ParallelLookaheadNS = 250
+	cfg.ParallelWorkers = 1
 	p, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.ds.Lookahead(); got != 250*1000 {
-		t.Fatalf("lookahead = %v ps, want 250ns", got)
+	hub, ch0 := p.ds.Domain(0), p.ds.Domain(1)
+	ran := false
+	hub.K.Schedule(0, func() { hub.Post(ch0, handoff, func() { ran = true }) })
+	p.ds.Run()
+	if !ran {
+		t.Fatal("post at the hand-off latency was not delivered")
 	}
-	cfg.ParallelLookaheadNS = 0
-	p, err = Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.ds.Lookahead(); got != defaultLookaheadNS*1000 {
-		t.Fatalf("default lookahead = %v ps, want %dns", got, defaultLookaheadNS)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("post below the hand-off latency did not panic")
+			}
+		}()
+		hub.Post(ch0, handoff-1, func() {})
+	}()
+	_, err = config.Parse(strings.NewReader("parallel_lookahead_ns = 250\n"))
+	if err == nil || !strings.Contains(err.Error(), "unknown key") {
+		t.Fatalf("parallel_lookahead_ns: got %v, want an unknown key error", err)
 	}
 }

@@ -85,7 +85,6 @@ type Platform struct {
 	// the domain coordinator; K aliases the hub domain's kernel so all
 	// hub-side code runs unchanged. See parallel.go.
 	ds         *sim.DomainSet
-	handoff    sim.Time
 	shardBuses []*amba.Bus
 	shardDRAM  []*dram.Buffer
 	shardECC   []*eccPool
@@ -163,12 +162,7 @@ func Build(cfg config.Platform) (*Platform, error) {
 		// Per-channel clock domains with conservative lookahead; the hand-off
 		// latency doubles as the window width. The hub (domain 0) kernel
 		// replaces the monolithic one so hub-side models build unchanged.
-		ns := cfg.ParallelLookaheadNS
-		if ns == 0 {
-			ns = defaultLookaheadNS
-		}
-		p.handoff = sim.Time(ns) * sim.Nanosecond
-		p.ds = sim.NewDomainSet(1+cfg.Channels, p.handoff, cfg.ParallelWorkers)
+		p.ds = sim.NewDomainSet(1+cfg.Channels, handoff, cfg.ParallelWorkers)
 		p.K = p.ds.Domain(0).K
 	}
 

@@ -167,9 +167,6 @@ func (ds *DomainSet) Domains() int { return len(ds.domains) }
 // Workers returns the worker count the parallel driver uses.
 func (ds *DomainSet) Workers() int { return ds.workers }
 
-// Lookahead returns the conservative window width.
-func (ds *DomainSet) Lookahead() Time { return ds.lookahead }
-
 // Stop makes Run return at the next window barrier. It is safe to call from
 // any domain's executing event (and from other goroutines): the current
 // window always completes on every domain regardless of which worker

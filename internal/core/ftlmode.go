@@ -89,11 +89,7 @@ func (p *Platform) mapperWrite(lba int64, pageOffset int, sp *telemetry.Span, do
 			gdie, a := f.place(op.Target)
 			ch, die := p.chanDie(gdie)
 			p.stats.eraseOps++
-			p.toShard(ch, func() {
-				if err := p.Channels[ch].Erase(die, a.Plane, a.Block, nil); err != nil {
-					panic(err)
-				}
-			})
+			p.lanes[ch].erase(die, a.Plane, a.Block)
 		case ftl.OpCopy:
 			p.mapperCopy(op)
 		case ftl.OpProgram:
@@ -111,36 +107,20 @@ func (p *Platform) mapperProgram(gdie int, a nand.Addr, sp *telemetry.Span, done
 	if sp != nil {
 		spans = []*telemetry.Span{sp}
 	}
-	prep := func(ready func()) { p.eccEncode(1, ready) }
-	fin := func() {
+	p.lanes[ch].program(die, []nand.Addr{a}, spans, 0, nil, func() {
 		p.lastWritten[gdie] = a
 		p.hasWritten[gdie] = true
 		if done != nil {
 			done()
 		}
-	}
-	if p.ds != nil {
-		// Parallel core: encode on the channel domain's pool, program on the
-		// channel domain, completion back on the hub.
-		prep = func(ready func()) { p.shardEncode(ch, 1, ready) }
-		fin = p.hubFn(ch, fin)
-		p.toShard(ch, func() {
-			if err := p.Channels[ch].WriteMultiPrep(die, []nand.Addr{a}, p.pageBytes, spans, prep, fin); err != nil {
-				panic(fmt.Sprintf("core: mapper program failed: %v", err))
-			}
-		})
-		return
-	}
-	err := p.Channels[ch].WriteMultiPrep(die, []nand.Addr{a}, p.pageBytes, spans, prep, fin)
-	if err != nil {
-		panic(fmt.Sprintf("core: mapper program failed: %v", err))
-	}
+	})
 }
 
 // mapperCopy executes a GC relocation: the program is enqueued immediately
-// (preserving allocation order on the die); its prep stage models the read
-// of the source page plus decode and re-encode, so the data dependency costs
-// real time without reordering programs.
+// on the destination lane (preserving allocation order on the die); its
+// prep stage models the read of the source page plus decode and re-encode
+// on the source lane, so the data dependency costs real time without
+// reordering programs.
 func (p *Platform) mapperCopy(op ftl.Op) {
 	f := p.mapper
 	srcDie, srcAddr := f.place(op.Source)
@@ -150,44 +130,7 @@ func (p *Platform) mapperCopy(op ftl.Op) {
 	p.stats.gcCopies++
 	p.stats.flashReads++
 	p.stats.flashWrites++
-	prep := func(ready func()) {
-		if err := p.Channels[srcCh].ReadGC(srcD, srcAddr, p.pageBytes, func() {
-			p.eccDecode(1, func() {
-				p.eccEncode(1, ready)
-			})
-		}); err != nil {
-			panic(fmt.Sprintf("core: gc source read failed: %v", err))
-		}
-	}
-	if p.ds != nil {
-		// Parallel core: the program enqueues on the destination channel's
-		// domain; its prep hops to the source channel for the read, decode
-		// and re-encode (that shard's ECC pool), then hops back with ready.
-		// When source and destination share a channel the hops collapse to
-		// direct calls.
-		prep = func(ready func()) {
-			fin := p.crossFn(srcCh, dstCh, ready)
-			p.cross(dstCh, srcCh, func() {
-				if err := p.Channels[srcCh].ReadGC(srcD, srcAddr, p.pageBytes, func() {
-					p.shardDecode(srcCh, 1, func() { p.shardEncode(srcCh, 1, fin) })
-				}); err != nil {
-					panic(fmt.Sprintf("core: gc source read failed: %v", err))
-				}
-			})
-		}
-		p.toShard(dstCh, func() {
-			if err := p.Channels[dstCh].WriteMultiPrepGC(dstD, []nand.Addr{dstAddr}, p.pageBytes, nil, 1, prep, nil); err != nil {
-				panic(fmt.Sprintf("core: gc program failed: %v", err))
-			}
-		})
-		return
-	}
-	// The whole single-page batch is a relocation: its busy time lands in
-	// the gc_read/gc_program op kinds of the utilization timeline.
-	err := p.Channels[dstCh].WriteMultiPrepGC(dstD, []nand.Addr{dstAddr}, p.pageBytes, nil, 1, prep, nil)
-	if err != nil {
-		panic(fmt.Sprintf("core: gc program failed: %v", err))
-	}
+	p.lanes[dstCh].relocate(dstD, dstAddr, p.lanes[srcCh], srcD, srcAddr)
 }
 
 // mapperRead resolves a logical page through the real map; ok=false means

@@ -4,23 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/amba"
-	"repro/internal/ctrl"
 	"repro/internal/dram"
-	"repro/internal/nand"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
-// This file holds the parallel event core integration: with Parallel set,
+// This file holds the sharded event core's driver side: with Parallel set,
 // the platform shards into 1+Channels clock domains — the hub (host
 // interface, CPU complex, compressor, staging DRAM, the whole FTL brain and
 // the hub ECC pool) plus one domain per ONFI channel (its dies, buses, SRAM
 // cache gate, a private PP-DMA interconnect, DRAM buffer and ECC pool).
 // Cross-domain interactions become timestamped messages carrying the
 // modeled hand-off latency, which doubles as the conservative lookahead the
-// domain coordinator synchronizes on. Serial mode (Parallel off) keeps
-// the exact monolithic kernel path: every helper here degrades to a direct
-// call or is simply never reached.
+// domain coordinator synchronizes on. The crossing itself is the per-channel
+// lane (lane.go); the device model above it is the same in both modes. The
+// helpers here switch on the mode because they observe genuinely different
+// drivers: one kernel, or a coordinator over many.
 
 // handoff is the modeled hub↔channel hand-off latency, which doubles as the
 // conservative lookahead the domain coordinator synchronizes on. It is part
@@ -30,142 +28,27 @@ import (
 // to give windows real batches of events.
 const handoff = sim.Microsecond
 
-// eccPool is a round-robin ECC engine pool bound to one kernel. The hub and
-// every shard own one so encode/decode latency is charged on the domain where
-// the data lives, without cross-domain contention on a shared server.
-type eccPool struct {
-	k       *sim.Kernel
-	engines []*sim.Server
-	next    int
-}
-
-// run charges lat on the next engine and continues with done; with no
-// engines (ECC scheme "none") it degenerates to a zero-delay schedule.
-func (ep *eccPool) run(lat sim.Time, done func()) {
-	if len(ep.engines) == 0 {
-		ep.k.Schedule(0, done)
-		return
+// shardPorts builds channel c's private data path on its domain kernel k: a
+// one-layer interconnect carrying the channel's PP-DMA master and a private
+// DRAM buffer.
+func (p *Platform) shardPorts(c int, k *sim.Kernel) (*amba.Master, *dram.Buffer, error) {
+	cfg := amba.DefaultConfig()
+	cfg.Layers = 1
+	bus, err := amba.NewBus(k, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	e := ep.engines[ep.next]
-	ep.next = (ep.next + 1) % len(ep.engines)
-	e.Acquire(lat, func(_, end sim.Time) {
-		ep.k.At(end, done)
-	})
-}
-
-// buildDomains assembles the sharded variant of everything Build's serial
-// path creates per channel: shard kernel, private interconnect with the
-// channel's PP-DMA master, private DRAM buffer and ECC pool, and the channel
-// controller itself, plus the span sink that routes stage attribution back
-// to the hub. Called from Build in place of the serial channel loop.
-func (p *Platform) buildDomains(gang ctrl.GangMode) error {
-	cfg := p.Cfg
-	hub := p.ds.Domain(0)
-	for c := 0; c < cfg.Channels; c++ {
-		shard := p.ds.Domain(c + 1)
-		chK := shard.K
-
-		sbCfg := amba.DefaultConfig()
-		sbCfg.Layers = 1
-		sbus, err := amba.NewBus(chK, sbCfg)
-		if err != nil {
-			return err
-		}
-		p.shardBuses = append(p.shardBuses, sbus)
-		m, err := sbus.AttachMaster(fmt.Sprintf("ppdma%d", c))
-		if err != nil {
-			return err
-		}
-
-		sbuf, err := dram.New(chK, c+1, dram.DDR2_800x16(64<<20))
-		if err != nil {
-			return err
-		}
-		p.shardDRAM = append(p.shardDRAM, sbuf)
-
-		pool := &eccPool{k: chK}
-		if p.scheme != nil {
-			for i := 0; i < cfg.ECCEngines; i++ {
-				pool.engines = append(pool.engines,
-					sim.NewServer(chK, nil, fmt.Sprintf("ch%d-ecc%d", c, i)))
-			}
-		}
-		p.shardECC = append(p.shardECC, pool)
-
-		ch, err := ctrl.New(chK, c, ctrl.Config{
-			Ways:       cfg.Ways,
-			DiesPerWay: cfg.DiesPerWay,
-			Gang:       gang,
-		}, p.geo, p.tim, m, sbuf, p.rng.Fork(uint64(c+101)))
-		if err != nil {
-			return err
-		}
-		if cfg.Wear > 0 {
-			ch.SetWear(cfg.Wear)
-		}
-		// Spans belong to the hub (host commands mutate them there); stage
-		// advances observed on the shard hop home as messages. Advance is a
-		// monotonic watermark per stage, so the barrier's deterministic merge
-		// order makes the application order well-defined.
-		ch.SetSpanSink(func(sp *telemetry.Span, st telemetry.Stage, at sim.Time) {
-			shard.Post(hub, handoff, func() { sp.Advance(st, at) })
-		})
-		p.Channels = append(p.Channels, ch)
+	p.shardBuses = append(p.shardBuses, bus)
+	m, err := bus.AttachMaster(fmt.Sprintf("ppdma%d", c))
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil
-}
-
-// domainOf maps the platform's crossing convention — -1 for the hub,
-// otherwise a channel index — to the clock domain.
-func (p *Platform) domainOf(idx int) *sim.Domain {
-	if idx < 0 {
-		return p.ds.Domain(0)
+	buf, err := dram.New(k, c+1, dram.DDR2_800x16(64<<20))
+	if err != nil {
+		return nil, nil, err
 	}
-	return p.ds.Domain(idx + 1)
-}
-
-// cross runs fn on domain `to`, posted from domain `from` with the modeled
-// hand-off latency (-1 designates the hub). With the domain core off, or
-// within one domain, it is a direct call.
-func (p *Platform) cross(from, to int, fn func()) {
-	if p.ds == nil || from == to {
-		fn()
-		return
-	}
-	p.domainOf(from).Post(p.domainOf(to), handoff, fn)
-}
-
-// crossFn wraps fn so that invoking the wrapper on domain `from` delivers fn
-// on domain `to`. nil stays nil so optional callbacks pass through.
-func (p *Platform) crossFn(from, to int, fn func()) func() {
-	if p.ds == nil || fn == nil {
-		return fn
-	}
-	return func() { p.cross(from, to, fn) }
-}
-
-// toShard posts fn from the hub onto channel ch's domain.
-func (p *Platform) toShard(ch int, fn func()) { p.cross(-1, ch, fn) }
-
-// hubFn wraps a hub-side continuation for invocation on channel ch's domain.
-func (p *Platform) hubFn(ch int, fn func()) func() { return p.crossFn(ch, -1, fn) }
-
-// shardEncode charges ECC encode latency on channel ch's pool.
-func (p *Platform) shardEncode(ch, pages int, done func()) {
-	if p.scheme == nil {
-		p.shardECC[ch].k.Schedule(0, done)
-		return
-	}
-	p.shardECC[ch].run(p.scheme.EncodeLatency(p.Cfg.Wear)*sim.Time(pages), done)
-}
-
-// shardDecode charges ECC decode latency on channel ch's pool.
-func (p *Platform) shardDecode(ch, pages int, done func()) {
-	if p.scheme == nil {
-		p.shardECC[ch].k.Schedule(0, done)
-		return
-	}
-	p.shardECC[ch].run(p.scheme.DecodeLatency(p.Cfg.Wear)*sim.Time(pages), done)
+	p.shardDRAM = append(p.shardDRAM, buf)
+	return m, buf, nil
 }
 
 // runKernel drives the event core to completion: the monolithic kernel in
@@ -216,102 +99,4 @@ func (p *Platform) busUtilization(now sim.Time) float64 {
 		layers += n
 	}
 	return total / float64(layers)
-}
-
-// issueWriteDomains is the parallel-mode variant of issueWrite: allocation,
-// stats and span bookkeeping stay on the hub; the erase and program calls
-// post to the owning channel's domain, the encode prep runs on that shard's
-// ECC pool, and the completion hops back to the hub. Slices are cloned
-// before capture — the posts defer execution past the hub scratch buffers'
-// reuse.
-func (p *Platform) issueWriteDomains(gdie int, pages []writePage) {
-	ch, die := p.chanDie(gdie)
-	addrs, erases := p.alloc.Batch(gdie, len(pages))
-	for len(addrs) < len(pages) {
-		extra, more := p.alloc.Batch(gdie, len(pages)-len(addrs))
-		addrs = append(addrs, extra...)
-		erases = append(erases, more...)
-	}
-	for _, e := range erases {
-		p.stats.eraseOps++
-		e := e
-		p.toShard(ch, func() {
-			if err := p.Channels[ch].Erase(die, e.Plane, e.Block, nil); err != nil {
-				panic(fmt.Sprintf("core: erase dispatch failed: %v", err))
-			}
-		})
-	}
-	p.stats.flashWrites += uint64(len(addrs))
-	now := p.K.Now()
-	start := 0
-	for start < len(addrs) {
-		end := start + 1
-		for end < len(addrs) &&
-			addrs[end].Block == addrs[start].Block &&
-			addrs[end].Page == addrs[start].Page {
-			end++
-		}
-		batch := append([]nand.Addr(nil), addrs[start:end]...)
-		batchPages := append([]writePage(nil), pages[start:end]...)
-		var spans []*telemetry.Span
-		haveSpan := false
-		gcPages := 0
-		for _, pg := range batchPages {
-			spans = append(spans, pg.span)
-			if pg.span != nil {
-				pg.span.Advance(telemetry.StageChan, now)
-				haveSpan = true
-			}
-			if pg.gc {
-				gcPages++
-			}
-		}
-		if !haveSpan {
-			spans = nil
-		}
-		n := len(batch)
-		prep := func(ready func()) { p.shardEncode(ch, n, ready) }
-		done := p.hubFn(ch, func() {
-			p.lastWritten[gdie] = batch[n-1]
-			p.hasWritten[gdie] = true
-			for _, pg := range batchPages {
-				if pg.done != nil {
-					pg.done()
-				}
-			}
-		})
-		p.toShard(ch, func() {
-			if err := p.Channels[ch].WriteMultiPrepGC(die, batch, p.pageBytes, spans, gcPages, prep, done); err != nil {
-				panic(fmt.Sprintf("core: write dispatch failed: %v", err))
-			}
-		})
-		start = end
-	}
-}
-
-// gcCopyDomains is the parallel-mode variant of gcCopy: the relocation read
-// and its decode run on the source channel's domain; the relocated page
-// rejoins the hub's per-die batches through a hub-bound message.
-func (p *Platform) gcCopyDomains() {
-	gdie := int(p.rng.Intn(p.totalDies))
-	if !p.hasWritten[gdie] {
-		return
-	}
-	src := p.lastWritten[gdie]
-	ch, die := p.chanDie(gdie)
-	p.stats.gcCopies++
-	p.stats.flashReads++
-	done := p.hubFn(ch, func() {
-		p.pending[gdie] = append(p.pending[gdie], writePage{gc: true})
-		if len(p.pending[gdie]) >= p.planeBatch {
-			p.issueBatch(gdie)
-		}
-	})
-	p.toShard(ch, func() {
-		if err := p.Channels[ch].ReadGC(die, src, p.pageBytes, func() {
-			p.shardDecode(ch, 1, done)
-		}); err != nil {
-			panic(fmt.Sprintf("core: gc read dispatch failed: %v", err))
-		}
-	})
 }

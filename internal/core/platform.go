@@ -77,9 +77,11 @@ type Platform struct {
 	CPU      *cpu.Complex
 	Comp     *compress.Engine
 
-	eccEngines []*sim.Server
-	eccNext    int
-	scheme     ecc.Scheme
+	// lanes carry every hub↔channel operation, one per channel (lane.go);
+	// ecc is the hub's ECC pool, which every lane shares in serial mode.
+	lanes  []*lane
+	ecc    *eccPool
+	scheme ecc.Scheme
 
 	// Parallel event core (nil/empty in the default monolithic mode). ds is
 	// the domain coordinator; K aliases the hub domain's kernel so all
@@ -87,7 +89,6 @@ type Platform struct {
 	ds         *sim.DomainSet
 	shardBuses []*amba.Bus
 	shardDRAM  []*dram.Buffer
-	shardECC   []*eccPool
 	traceSinks []*evtrace.Tracer
 
 	wafModel *ftl.Model
@@ -200,7 +201,7 @@ func Build(cfg config.Platform) (*Platform, error) {
 	}
 
 	// DRAM buffer pool. In parallel mode each channel domain owns a private
-	// buffer (see buildDomains); the hub keeps one staging buffer for the
+	// buffer (see shardPorts); the hub keeps one staging buffer for the
 	// host DMA path.
 	nbuf := cfg.DDRBuffers
 	if p.ds != nil {
@@ -211,8 +212,9 @@ func Build(cfg config.Platform) (*Platform, error) {
 		return nil, err
 	}
 
-	// ECC scheme and hub engine pool (built before the channels so parallel
-	// mode can size the per-shard pools from the resolved scheme).
+	// ECC scheme and hub engine pool (built before the channels, whose
+	// lanes share the hub pool in serial mode and size their own from the
+	// resolved scheme in parallel mode).
 	if cfg.ECCScheme != "none" {
 		var lat ecc.LatencyModel
 		if cfg.ECCLatency == "bit-serial" {
@@ -237,40 +239,51 @@ func Build(cfg config.Platform) (*Platform, error) {
 			}
 			p.scheme = ecc.AdaptiveBCH{Table: tbl, Lat: lat}
 		}
-		for i := 0; i < cfg.ECCEngines; i++ {
-			p.eccEngines = append(p.eccEngines,
-				sim.NewServer(p.K, nil, fmt.Sprintf("ecc%d", i)))
-		}
 	}
+	p.ecc = newECCPool(p.K, p.scheme, cfg.Wear, cfg.ECCEngines, "ecc")
 
-	// Channel/way controllers and the NAND array.
+	// Channel/way controllers and the NAND array, one lane each. Serial
+	// lanes run on the shared kernel with a PP-DMA port on the shared AHB,
+	// a buffer of the pool and the hub ECC pool; sharded lanes run on their
+	// own domain with a private interconnect, buffer and ECC pool.
 	gang, err := ctrl.ParseGangMode(cfg.GangMode)
 	if err != nil {
 		return nil, err
 	}
-	if p.ds != nil {
-		if err := p.buildDomains(gang); err != nil {
+	for c := 0; c < cfg.Channels; c++ {
+		l := &lane{p: p, idx: c, ecc: p.ecc}
+		k := p.K
+		var m *amba.Master
+		var buf *dram.Buffer
+		if p.ds == nil {
+			m, err = bus.AttachMaster(fmt.Sprintf("ppdma%d", c))
+			buf = p.DRAM.ForChannel(c)
+		} else {
+			l.dom, l.hub = p.ds.Domain(c+1), p.ds.Domain(0)
+			k = l.dom.K
+			m, buf, err = p.shardPorts(c, k)
+			l.ecc = newECCPool(k, p.scheme, cfg.Wear, cfg.ECCEngines, fmt.Sprintf("ch%d-ecc", c))
+		}
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		for c := 0; c < cfg.Channels; c++ {
-			m, err := bus.AttachMaster(fmt.Sprintf("ppdma%d", c))
-			if err != nil {
-				return nil, err
-			}
-			ch, err := ctrl.New(p.K, c, ctrl.Config{
-				Ways:       cfg.Ways,
-				DiesPerWay: cfg.DiesPerWay,
-				Gang:       gang,
-			}, p.geo, p.tim, m, p.DRAM.ForChannel(c), p.rng.Fork(uint64(c+101)))
-			if err != nil {
-				return nil, err
-			}
-			if cfg.Wear > 0 {
-				ch.SetWear(cfg.Wear)
-			}
-			p.Channels = append(p.Channels, ch)
+		ch, err := ctrl.New(k, c, ctrl.Config{
+			Ways:       cfg.Ways,
+			DiesPerWay: cfg.DiesPerWay,
+			Gang:       gang,
+		}, p.geo, p.tim, m, buf, p.rng.Fork(uint64(c+101)))
+		if err != nil {
+			return nil, err
 		}
+		if cfg.Wear > 0 {
+			ch.SetWear(cfg.Wear)
+		}
+		if l.dom != nil {
+			ch.SetSpanSink(l.advanceOnHub)
+		}
+		l.ch = ch
+		p.Channels = append(p.Channels, ch)
+		p.lanes = append(p.lanes, l)
 	}
 
 	// Host interface.
@@ -349,37 +362,6 @@ func (p *Platform) chanDie(gdie int) (int, int) {
 	return gdie % p.Cfg.Channels, gdie / p.Cfg.Channels
 }
 
-// eccEngine returns the next engine in round-robin order.
-func (p *Platform) eccEngine() *sim.Server {
-	e := p.eccEngines[p.eccNext]
-	p.eccNext = (p.eccNext + 1) % len(p.eccEngines)
-	return e
-}
-
-// eccEncode charges ECC encode latency and continues with done.
-func (p *Platform) eccEncode(pages int, done func()) {
-	if p.scheme == nil {
-		p.K.Schedule(0, done)
-		return
-	}
-	lat := p.scheme.EncodeLatency(p.Cfg.Wear) * sim.Time(pages)
-	p.eccEngine().Acquire(lat, func(_, end sim.Time) {
-		p.K.At(end, done)
-	})
-}
-
-// eccDecode charges ECC decode latency and continues with done.
-func (p *Platform) eccDecode(pages int, done func()) {
-	if p.scheme == nil {
-		p.K.Schedule(0, done)
-		return
-	}
-	lat := p.scheme.DecodeLatency(p.Cfg.Wear) * sim.Time(pages)
-	p.eccEngine().Acquire(lat, func(_, end sim.Time) {
-		p.K.At(end, done)
-	})
-}
-
 // readAddr maps a logical page index to a deterministic physical location in
 // the preloaded read region (the top half of each plane's block range, so
 // the write frontier growing from block 0 does not collide with it).
@@ -447,11 +429,8 @@ func (p *Platform) flashWrite(sp *telemetry.Span, done func()) {
 // synchronously, so per-die program order always equals allocation order —
 // pushing the ECC encode latency into the controller's prep stage.
 func (p *Platform) issueWrite(gdie int, pages []writePage) {
-	if p.ds != nil {
-		p.issueWriteDomains(gdie, pages)
-		return
-	}
 	ch, die := p.chanDie(gdie)
+	l := p.lanes[ch]
 	addrs, erases := p.alloc.Batch(gdie, len(pages))
 	for len(addrs) < len(pages) {
 		extra, more := p.alloc.Batch(gdie, len(pages)-len(addrs))
@@ -460,9 +439,7 @@ func (p *Platform) issueWrite(gdie int, pages []writePage) {
 	}
 	for _, e := range erases {
 		p.stats.eraseOps++
-		if err := p.Channels[ch].Erase(die, e.Plane, e.Block, nil); err != nil {
-			panic(fmt.Sprintf("core: erase dispatch failed: %v", err))
-		}
+		l.erase(die, e.Plane, e.Block)
 	}
 	p.stats.flashWrites += uint64(len(addrs))
 	// Issue plane-group sub-batches in allocation order.
@@ -479,8 +456,10 @@ func (p *Platform) issueWrite(gdie int, pages []writePage) {
 		batchPages := pages[start:end]
 		// The wait for the multi-plane batch to fill is channel-controller
 		// batching: charge it to the chan stage now, so the prep interval
-		// that follows is pure encode. The controller copies the span list
-		// synchronously, so the scratch buffer is reusable per sub-batch.
+		// that follows is pure encode. The lane hands the span list on (or
+		// copies it) before returning, so the scratch buffer is reusable per
+		// sub-batch. batch and batchPages are never reused: Batch returns
+		// fresh slices and issueBatch detaches the pending list.
 		spans := p.spanScratch[:0]
 		haveSpan := false
 		gcPages := 0
@@ -499,8 +478,7 @@ func (p *Platform) issueWrite(gdie int, pages []writePage) {
 			spans = nil
 		}
 		n := len(batch)
-		prep := func(ready func()) { p.eccEncode(n, ready) }
-		err := p.Channels[ch].WriteMultiPrepGC(die, batch, p.pageBytes, spans, gcPages, prep, func() {
+		l.program(die, batch, spans, gcPages, nil, func() {
 			p.lastWritten[gdie] = batch[n-1]
 			p.hasWritten[gdie] = true
 			for _, pg := range batchPages {
@@ -509,9 +487,6 @@ func (p *Platform) issueWrite(gdie int, pages []writePage) {
 				}
 			}
 		})
-		if err != nil {
-			panic(fmt.Sprintf("core: write dispatch failed: %v", err))
-		}
 		start = end
 	}
 }
@@ -532,10 +507,6 @@ func (p *Platform) issueBatch(gdie int) {
 // traffic, which is exactly how the WAF abstraction injects FTL cost
 // without an FTL implementation.
 func (p *Platform) gcCopy() {
-	if p.ds != nil {
-		p.gcCopyDomains()
-		return
-	}
 	gdie := int(p.rng.Intn(p.totalDies))
 	if !p.hasWritten[gdie] {
 		return // nothing to relocate yet on this die
@@ -544,19 +515,15 @@ func (p *Platform) gcCopy() {
 	ch, die := p.chanDie(gdie)
 	p.stats.gcCopies++
 	p.stats.flashReads++
-	if err := p.Channels[ch].ReadGC(die, src, p.pageBytes, func() {
-		p.eccDecode(1, func() {
-			// GC programs join the same per-die multi-plane batches as
-			// user pages (real collectors relocate pages in bulk); they
-			// carry no span — no host command is waiting on them.
-			p.pending[gdie] = append(p.pending[gdie], writePage{gc: true})
-			if len(p.pending[gdie]) >= p.planeBatch {
-				p.issueBatch(gdie)
-			}
-		})
-	}); err != nil {
-		panic(fmt.Sprintf("core: gc read dispatch failed: %v", err))
-	}
+	p.lanes[ch].gcRead(die, src, func() {
+		// GC programs join the same per-die multi-plane batches as user
+		// pages (real collectors relocate pages in bulk); they carry no
+		// span — no host command is waiting on them.
+		p.pending[gdie] = append(p.pending[gdie], writePage{gc: true})
+		if len(p.pending[gdie]) >= p.planeBatch {
+			p.issueBatch(gdie)
+		}
+	})
 }
 
 // flushPartialBatches forces out every incomplete multi-plane group (end of

@@ -534,30 +534,7 @@ func (p *Platform) handleRead(cmd *hostif.Command, mode Mode) {
 					panic(err)
 				}
 			}
-			lba := req.LBA
-			if p.ds != nil {
-				// Parallel core: the array read and its decode run on the
-				// channel's domain; the host-side tail hops back to the hub.
-				// The first-touch preload rides the same closure so die state
-				// is only ever inspected by its owning domain.
-				done := p.hubFn(chIdx, afterECC)
-				p.toShard(chIdx, func() {
-					p.lazyPreloadPage(chIdx, die, addr, lba)
-					if err := p.Channels[chIdx].ReadTraced(die, addr, p.pageBytes, &cmd.Span, func() {
-						p.shardDecode(chIdx, 1, done)
-					}); err != nil {
-						panic(fmt.Sprintf("core: read dispatch failed: %v", err))
-					}
-				})
-				continue
-			}
-			p.lazyPreloadPage(chIdx, die, addr, lba)
-			err := p.Channels[chIdx].ReadTraced(die, addr, p.pageBytes, &cmd.Span, func() {
-				p.eccDecode(1, afterECC)
-			})
-			if err != nil {
-				panic(fmt.Sprintf("core: read dispatch failed: %v", err))
-			}
+			p.lanes[chIdx].read(die, addr, &cmd.Span, req.LBA, afterECC)
 		}
 	}
 	if mode == ModeHostDDR {
@@ -569,8 +546,8 @@ func (p *Platform) handleRead(cmd *hostif.Command, mode Mode) {
 
 // lazyPreloadPage marks a replayed read's target page as pre-existing data
 // on first touch, instead of demanding a pre-scan of the trace. It must run
-// on the domain that owns the die — the shard closure in parallel mode — so
-// die state is never inspected hub-side mid-run; Preload consumes no
+// on the domain that owns the die — the lane's read runs it there — so die
+// state is never inspected hub-side mid-run; Preload consumes no
 // simulated time, so domain-local marking preserves the conservative-
 // lookahead contract. p.lazyPreload and p.mapper are set before the kernel
 // starts and are immutable during the run, so reading them here is safe
@@ -614,25 +591,11 @@ func (p *Platform) runDrain(w workload.Spec) (Result, error) {
 			if w.Pattern.IsWrite() {
 				p.flashWrite(nil, onDone)
 			} else {
-				gdie, addr := p.readAddr(int64(issued - 1))
+				page := int64(issued - 1)
+				gdie, addr := p.readAddr(page)
 				chIdx, die := p.chanDie(gdie)
 				p.stats.flashReads++
-				if p.ds != nil {
-					done := p.hubFn(chIdx, onDone)
-					p.toShard(chIdx, func() {
-						if err := p.Channels[chIdx].Read(die, addr, p.pageBytes, func() {
-							p.shardDecode(chIdx, 1, done)
-						}); err != nil {
-							panic(err)
-						}
-					})
-					continue
-				}
-				if err := p.Channels[chIdx].Read(die, addr, p.pageBytes, func() {
-					p.eccDecode(1, onDone)
-				}); err != nil {
-					panic(err)
-				}
+				p.lanes[chIdx].read(die, addr, nil, page*int64(p.pageBytes)/trace.SectorSize, onDone)
 			}
 		}
 		if issued == totalPages {

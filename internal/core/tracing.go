@@ -55,7 +55,7 @@ func (p *Platform) EnableTracing(opt evtrace.Options) *evtrace.Tracer {
 	}
 
 	// ECC engines.
-	for _, e := range p.eccEngines {
+	for _, e := range p.ecc.engines {
 		res := tr.Register(evtrace.KindECC, e.Name())
 		e.OnServe = func(start, end sim.Time) {
 			tr.Interval(res, evtrace.OpBusy, start, end)
@@ -89,7 +89,7 @@ func (p *Platform) EnableTracing(opt evtrace.Options) *evtrace.Tracer {
 			}
 			sink.Interval(dres, op, start, end)
 		}
-		for _, e := range p.shardECC[c].engines {
+		for _, e := range p.lanes[c].ecc.engines {
 			eres := tr.Register(evtrace.KindECC, e.Name())
 			e.OnServe = func(start, end sim.Time) {
 				sink.Interval(eres, evtrace.OpBusy, start, end)

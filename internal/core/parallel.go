@@ -10,8 +10,8 @@ import (
 
 // This file holds the sharded event core's driver side: with Parallel set,
 // the platform shards into 1+Channels clock domains — the hub (host
-// interface, CPU complex, compressor, staging DRAM, the whole FTL brain and
-// the hub ECC pool) plus one domain per ONFI channel (its dies, buses, SRAM
+// interface, CPU complex, compressor, staging DRAM and the whole FTL brain)
+// plus one domain per ONFI channel (its dies, buses, SRAM
 // cache gate, a private PP-DMA interconnect, DRAM buffer and ECC pool).
 // Cross-domain interactions become timestamped messages carrying the
 // modeled hand-off latency, which doubles as the conservative lookahead the

@@ -260,3 +260,30 @@ func TestParallelLookaheadConfig(t *testing.T) {
 		t.Fatalf("parallel_lookahead_ns: got %v, want an unknown key error", err)
 	}
 }
+
+// TestParallelECCPoolsAllServe checks that the sharded core registers only
+// ECC engines that can serve: each channel domain's pool, no hub pool. An
+// idle hub pool would show as dead tracks and dilute the ECC utilization
+// mean. Every ECC engine of a random-read run on an ECC-coded preset must
+// therefore record work.
+func TestParallelECCPoolsAllServe(t *testing.T) {
+	cfg, err := config.Preset("vertex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _ := runDomains(t, cfg, workload.Patterned(trace.RandRead, 4096, 1<<26, 2000, 13), ModeFull, 1)
+	want := cfg.Channels * cfg.ECCEngines
+	got := 0
+	for _, r := range res.Utilization.Resources {
+		if r.Kind != "ecc" {
+			continue
+		}
+		got++
+		if r.Ops == 0 {
+			t.Errorf("ECC engine %s served nothing", r.Name)
+		}
+	}
+	if got != want {
+		t.Errorf("%d ECC engines registered, want %d (one pool per channel)", got, want)
+	}
+}

@@ -78,7 +78,8 @@ type Platform struct {
 	Comp     *compress.Engine
 
 	// lanes carry every hub↔channel operation, one per channel (lane.go);
-	// ecc is the hub's ECC pool, which every lane shares in serial mode.
+	// ecc is the ECC pool every lane shares in serial mode (nil in parallel
+	// mode, where each lane owns one).
 	lanes  []*lane
 	ecc    *eccPool
 	scheme ecc.Scheme
@@ -212,9 +213,9 @@ func Build(cfg config.Platform) (*Platform, error) {
 		return nil, err
 	}
 
-	// ECC scheme and hub engine pool (built before the channels, whose
-	// lanes share the hub pool in serial mode and size their own from the
-	// resolved scheme in parallel mode).
+	// ECC scheme and, in serial mode, the engine pool every channel shares
+	// (built before the channels; parallel-mode lanes size their own pools
+	// from the resolved scheme).
 	if cfg.ECCScheme != "none" {
 		var lat ecc.LatencyModel
 		if cfg.ECCLatency == "bit-serial" {
@@ -240,7 +241,9 @@ func Build(cfg config.Platform) (*Platform, error) {
 			p.scheme = ecc.AdaptiveBCH{Table: tbl, Lat: lat}
 		}
 	}
-	p.ecc = newECCPool(p.K, p.scheme, cfg.Wear, cfg.ECCEngines, "ecc")
+	if p.ds == nil {
+		p.ecc = newECCPool(p.K, p.scheme, cfg.Wear, cfg.ECCEngines, "ecc")
+	}
 
 	// Channel/way controllers and the NAND array, one lane each. Serial
 	// lanes run on the shared kernel with a PP-DMA port on the shared AHB,

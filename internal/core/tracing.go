@@ -54,11 +54,13 @@ func (p *Platform) EnableTracing(opt evtrace.Options) *evtrace.Tracer {
 		}
 	}
 
-	// ECC engines.
-	for _, e := range p.ecc.engines {
-		res := tr.Register(evtrace.KindECC, e.Name())
-		e.OnServe = func(start, end sim.Time) {
-			tr.Interval(res, evtrace.OpBusy, start, end)
+	// ECC engines of the shared pool (serial mode only).
+	if p.ecc != nil {
+		for _, e := range p.ecc.engines {
+			res := tr.Register(evtrace.KindECC, e.Name())
+			e.OnServe = func(start, end sim.Time) {
+				tr.Interval(res, evtrace.OpBusy, start, end)
+			}
 		}
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/config"
@@ -178,5 +179,51 @@ func TestFirmwareCPUModelWrites(t *testing.T) {
 	}
 	if res.Completed != 3000 || res.MBps <= 0 {
 		t.Fatalf("firmware write run: %+v", res)
+	}
+}
+
+// TestRunRequestsReportsMeasuredWAF checks that Run and RunRequests agree on
+// WAF for the same trace in both FTL modes. In mapper mode both must report
+// the real FTL's measured amplification, not the WAF abstraction's value.
+func TestRunRequestsReportsMeasuredWAF(t *testing.T) {
+	for _, mode := range []string{"waf", "mapper"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg, err := config.Preset("t3:C3")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.FTLMode = mode
+			cfg.SpareFactor = 0.45
+			w := workload.Patterned(trace.RandWrite, 4096, 1<<24, 6000, 3)
+			reqs, err := w.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromReqs, err := p.RunRequests(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err = Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromRun, err := p.Run(w, ModeFull)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fromReqs.WAF != fromRun.WAF {
+				t.Errorf("RunRequests WAF %.4f, Run WAF %.4f", fromReqs.WAF, fromRun.WAF)
+			}
+			if mode == "mapper" {
+				measured := float64(fromReqs.FlashWrites) / float64(fromReqs.UserPages)
+				if math.Abs(fromReqs.WAF-measured) > 1e-9 {
+					t.Errorf("mapper WAF %.4f, flash writes per user page %.4f", fromReqs.WAF, measured)
+				}
+			}
+		})
 	}
 }

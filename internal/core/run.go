@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/config"
-	"repro/internal/ftl"
 	"repro/internal/hostif"
 	"repro/internal/nand"
 	"repro/internal/sim"
@@ -145,17 +144,26 @@ func (p *Platform) Run(w workload.Spec, mode Mode) (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	res.Pattern = w.Pattern
+	res.BlockBytes = w.BlockSize
+	p.assemble(&res, mode, w.Describe(), w.TotalRequests(), wallStart)
+	return res, nil
+}
+
+// assemble completes a run's Result for every entry point (Run,
+// RunRequests, RunTenants): the labels, the request count (requests < 0
+// means the completed count), the simulator's own speed, the WAF and the
+// device-side counters. res arrives carrying the run's throughput and
+// latency measurements.
+func (p *Platform) assemble(res *Result, mode Mode, workload string, requests int, wallStart time.Time) {
 	res.Config = p.Cfg.Name
 	res.Topology = p.Cfg.Describe()
 	res.Mode = mode
-	res.Pattern = w.Pattern
-	res.Workload = w.Describe()
-	if n := w.TotalRequests(); n >= 0 {
-		res.Requests = n
-	} else {
+	res.Workload = workload
+	res.Requests = requests
+	if requests < 0 {
 		res.Requests = int(res.Completed)
 	}
-	res.BlockBytes = w.BlockSize
 	res.WallSeconds = time.Since(wallStart).Seconds() //ssdx:wallclock
 	if res.WallSeconds > 0 {
 		cycles := float64(p.CPU.Clock().CyclesAt(p.simNow()))
@@ -166,7 +174,7 @@ func (p *Platform) Run(w workload.Spec, mode Mode) (Result, error) {
 	res.WAF = p.wafModel.WAF
 	if p.liveClass != nil && p.stats.userPages > 0 {
 		// Live reclassification switches WAF models mid-run; report the
-		// amplification actually applied over the whole replay (user plus
+		// amplification actually applied over the whole run (user plus
 		// injected GC pages per user page), not the final regime's
 		// constant.
 		res.WAF = float64(p.stats.userPages+p.stats.gcCopies) / float64(p.stats.userPages)
@@ -182,7 +190,23 @@ func (p *Platform) Run(w workload.Spec, mode Mode) (Result, error) {
 	res.FlashWrites = p.stats.flashWrites
 	res.FlashReads = p.stats.flashReads
 	res.Utilization = p.utilizationReport(res.WallSeconds)
-	return res, nil
+}
+
+// hostResult reads the host interface's measurements of a hosted run.
+func (p *Platform) hostResult() Result {
+	res := Result{
+		MBps:          p.Host.TailThroughputMBps(0.5),
+		RampMBps:      p.Host.ThroughputMBps(),
+		BytesMoved:    int64(p.Host.Stats.BytesRead + p.Host.Stats.BytesWritten),
+		Completed:     p.Host.Stats.Completed,
+		HostQueuePeak: p.Host.Stats.QueuePeak,
+		ReadLat:       p.Host.Latency().Read(),
+		WriteLat:      p.Host.Latency().Write(),
+		AllLat:        p.Host.Latency().All(),
+		Stages:        p.Host.StageBreakdown(),
+	}
+	res.Saturated, res.BacklogGrowth = p.Host.Saturation()
+	return res
 }
 
 // runHosted streams the workload through the host interface.
@@ -218,19 +242,8 @@ func (p *Platform) runHosted(w workload.Spec, mode Mode) (Result, error) {
 		return Result{}, fmt.Errorf("%w (%d completed, %d outstanding)",
 			errStalled, p.Host.Stats.Completed, p.Host.Outstanding())
 	}
-	res := Result{
-		MBps:       p.Host.TailThroughputMBps(0.5),
-		RampMBps:   p.Host.ThroughputMBps(),
-		BytesMoved: int64(p.Host.Stats.BytesRead + p.Host.Stats.BytesWritten),
-		Completed:  p.Host.Stats.Completed,
-	}
-	res.HostQueuePeak = p.Host.Stats.QueuePeak
-	res.ReadLat = p.Host.Latency().Read()
-	res.WriteLat = p.Host.Latency().Write()
-	res.AllLat = p.Host.Latency().All()
-	res.Stages = p.Host.StageBreakdown()
+	res := p.hostResult()
 	res.Phases = labeledPhases(p.Host.PhaseProfiles(), w.Phases)
-	res.Saturated, res.BacklogGrowth = p.Host.Saturation()
 	return res, nil
 }
 
@@ -626,19 +639,9 @@ func (p *Platform) RunRequests(reqs []trace.Request) (Result, error) {
 	// Classify the write pattern and find the read extent (the same scan
 	// ScanTrace applies to files).
 	info := workload.ScanStream(trace.NewSliceStream(reqs))
-	waf := p.Cfg.WAFOverride
-	if waf == 0 {
-		var err error
-		waf, err = ftl.ForPattern(info.RandomWrites, p.Cfg.SpareFactor)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	m, err := ftl.NewModel(waf, p.geo.PagesPerBlock)
-	if err != nil {
+	if err := p.resolveWAF(info.RandomWrites); err != nil {
 		return Result{}, err
 	}
-	p.wafModel = m
 	if info.ReadSpanBytes > 0 && p.mapper == nil {
 		if err := p.preloadReadRegion(info.ReadSpanBytes); err != nil {
 			return Result{}, err
@@ -655,38 +658,8 @@ func (p *Platform) RunRequests(reqs []trace.Request) (Result, error) {
 		return Result{}, fmt.Errorf("%w (trace replay: %d completed, %d outstanding)",
 			errStalled, p.Host.Stats.Completed, p.Host.Outstanding())
 	}
-	res := Result{
-		Config:     p.Cfg.Name,
-		Topology:   p.Cfg.Describe(),
-		Mode:       ModeFull,
-		Workload:   fmt.Sprintf("trace[%d]", len(reqs)),
-		Requests:   len(reqs),
-		MBps:       p.Host.TailThroughputMBps(0.5),
-		RampMBps:   p.Host.ThroughputMBps(),
-		BytesMoved: int64(p.Host.Stats.BytesRead + p.Host.Stats.BytesWritten),
-		Completed:  p.Host.Stats.Completed,
-		SimTime:    p.simNow(),
-		WAF:        p.wafModel.WAF,
-		ReadLat:    p.Host.Latency().Read(),
-		WriteLat:   p.Host.Latency().Write(),
-		AllLat:     p.Host.Latency().All(),
-		Stages:     p.Host.StageBreakdown(),
-	}
-	res.Saturated, res.BacklogGrowth = p.Host.Saturation()
-	res.WallSeconds = time.Since(wallStart).Seconds() //ssdx:wallclock
-	if res.WallSeconds > 0 {
-		res.KCPS = float64(p.CPU.Clock().CyclesAt(p.simNow())) / 1000 / res.WallSeconds
-	}
-	res.Events = p.kernelEvents()
-	res.HostQueuePeak = p.Host.Stats.QueuePeak
-	res.BusUtil = p.busUtilization(p.simNow())
-	res.CPUUtil = p.CPU.Utilization(p.simNow())
-	res.UserPages = p.stats.userPages
-	res.GCCopies = p.stats.gcCopies
-	res.Erases = p.stats.eraseOps
-	res.FlashWrites = p.stats.flashWrites
-	res.FlashReads = p.stats.flashReads
-	res.Utilization = p.utilizationReport(res.WallSeconds)
+	res := p.hostResult()
+	p.assemble(&res, ModeFull, fmt.Sprintf("trace[%d]", len(reqs)), len(reqs), wallStart)
 	return res, nil
 }
 

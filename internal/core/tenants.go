@@ -128,51 +128,8 @@ func (p *Platform) RunTenants(set nvme.TenantSet, mode Mode) (Result, error) {
 			errStalled, p.Host.Stats.Completed, p.Host.Outstanding())
 	}
 
-	res := Result{
-		Config:     p.Cfg.Name,
-		Topology:   p.Cfg.Describe(),
-		Mode:       mode,
-		Workload:   set.Describe(),
-		MBps:       p.Host.TailThroughputMBps(0.5),
-		RampMBps:   p.Host.ThroughputMBps(),
-		BytesMoved: int64(p.Host.Stats.BytesRead + p.Host.Stats.BytesWritten),
-		Completed:  p.Host.Stats.Completed,
-	}
-	if n := set.TotalRequests(); n >= 0 {
-		res.Requests = n
-	} else {
-		res.Requests = int(res.Completed)
-	}
-	res.HostQueuePeak = p.Host.Stats.QueuePeak
-	res.ReadLat = p.Host.Latency().Read()
-	res.WriteLat = p.Host.Latency().Write()
-	res.AllLat = p.Host.Latency().All()
-	res.Stages = p.Host.StageBreakdown()
-	res.Saturated, res.BacklogGrowth = p.Host.Saturation()
-	res.WallSeconds = time.Since(wallStart).Seconds() //ssdx:wallclock
-	if res.WallSeconds > 0 {
-		res.KCPS = float64(p.CPU.Clock().CyclesAt(p.simNow())) / 1000 / res.WallSeconds
-	}
-	res.Events = p.kernelEvents()
-	res.SimTime = p.simNow()
-	res.WAF = p.wafModel.WAF
-	if p.liveClass != nil && p.stats.userPages > 0 {
-		// Live reclassification switches WAF models mid-run; report the
-		// amplification actually applied over the whole run.
-		res.WAF = float64(p.stats.userPages+p.stats.gcCopies) / float64(p.stats.userPages)
-	}
-	if p.mapper != nil && p.mapper.m.Stats.UserWrites > 0 {
-		res.WAF = p.mapper.m.MeasuredWAF()
-	}
-	res.BusUtil = p.busUtilization(p.simNow())
-	res.CPUUtil = p.CPU.Utilization(p.simNow())
-	res.UserPages = p.stats.userPages
-	res.GCCopies = p.stats.gcCopies
-	res.Erases = p.stats.eraseOps
-	res.FlashWrites = p.stats.flashWrites
-	res.FlashReads = p.stats.flashReads
-	res.Utilization = p.utilizationReport(res.WallSeconds)
-
+	res := p.hostResult()
+	p.assemble(&res, mode, set.Describe(), set.TotalRequests(), wallStart)
 	res.Tenants = p.tenantResults(set)
 	res.Fairness = fairnessOf(res.Tenants)
 	return res, nil

@@ -247,7 +247,7 @@ func Build(cfg config.Platform) (*Platform, error) {
 
 	// Channel/way controllers and the NAND array, one lane each. Serial
 	// lanes run on the shared kernel with a PP-DMA port on the shared AHB,
-	// a buffer of the pool and the hub ECC pool; sharded lanes run on their
+	// a buffer of the pool and the shared ECC pool; sharded lanes run on their
 	// own domain with a private interconnect, buffer and ECC pool.
 	gang, err := ctrl.ParseGangMode(cfg.GangMode)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/dram"
 	"repro/internal/sim"
 	evtrace "repro/internal/telemetry/trace"
 )
@@ -42,27 +43,11 @@ func (p *Platform) EnableTracing(opt evtrace.Options) *evtrace.Tracer {
 		tr.Interval(ahbRes[layer], evtrace.OpXfer, start, end)
 	}
 
-	// DRAM buffers.
+	// DRAM buffers and the shared ECC pool (serial mode only).
 	for _, b := range p.DRAM.Buffers {
-		res := tr.Register(evtrace.KindDRAM, fmt.Sprintf("ddr%d", b.ID))
-		b.OnServe = func(write bool, start, end sim.Time) {
-			op := evtrace.OpRead
-			if write {
-				op = evtrace.OpWrite
-			}
-			tr.Interval(res, op, start, end)
-		}
+		traceDRAM(tr, tr, b)
 	}
-
-	// ECC engines of the shared pool (serial mode only).
-	if p.ecc != nil {
-		for _, e := range p.ecc.engines {
-			res := tr.Register(evtrace.KindECC, e.Name())
-			e.OnServe = func(start, end sim.Time) {
-				tr.Interval(res, evtrace.OpBusy, start, end)
-			}
-		}
-	}
+	traceECC(tr, tr, p.ecc)
 
 	// Channels: dies (per-op-kind intervals, GC split, flow steps) and ONFI
 	// buses. In parallel mode every channel domain logs into a private sink
@@ -82,23 +67,37 @@ func (p *Platform) EnableTracing(opt evtrace.Options) *evtrace.Tracer {
 		p.shardBuses[c].OnGrant = func(_ int, start, end sim.Time) {
 			sink.Interval(bres, evtrace.OpXfer, start, end)
 		}
-		b := p.shardDRAM[c]
-		dres := tr.Register(evtrace.KindDRAM, fmt.Sprintf("ddr%d", b.ID))
-		b.OnServe = func(write bool, start, end sim.Time) {
-			op := evtrace.OpRead
-			if write {
-				op = evtrace.OpWrite
-			}
-			sink.Interval(dres, op, start, end)
-		}
-		for _, e := range p.lanes[c].ecc.engines {
-			eres := tr.Register(evtrace.KindECC, e.Name())
-			e.OnServe = func(start, end sim.Time) {
-				sink.Interval(eres, evtrace.OpBusy, start, end)
-			}
-		}
+		traceDRAM(tr, sink, p.shardDRAM[c])
+		traceECC(tr, sink, p.lanes[c].ecc)
 	}
 	return tr
+}
+
+// traceDRAM registers buffer b on tr and logs its accesses into w: tr
+// itself, or the sink of the channel domain that owns b.
+func traceDRAM(tr, w *evtrace.Tracer, b *dram.Buffer) {
+	res := tr.Register(evtrace.KindDRAM, fmt.Sprintf("ddr%d", b.ID))
+	b.OnServe = func(write bool, start, end sim.Time) {
+		op := evtrace.OpRead
+		if write {
+			op = evtrace.OpWrite
+		}
+		w.Interval(res, op, start, end)
+	}
+}
+
+// traceECC registers pool ep's engines on tr and logs their service windows
+// into w. A nil pool registers nothing.
+func traceECC(tr, w *evtrace.Tracer, ep *eccPool) {
+	if ep == nil {
+		return
+	}
+	for _, e := range ep.engines {
+		res := tr.Register(evtrace.KindECC, e.Name())
+		e.OnServe = func(start, end sim.Time) {
+			w.Interval(res, evtrace.OpBusy, start, end)
+		}
+	}
 }
 
 // Tracer returns the attached event tracer (nil when tracing is off).
